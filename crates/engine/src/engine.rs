@@ -1,5 +1,5 @@
 //! The serving engine: a worker pool executing snapshot-isolated scans, a
-//! mutex-serialized OREO bookkeeping core, and a dedicated background
+//! mutex-serialized OREO instance per tenant, and a dedicated background
 //! reorganizer thread that never blocks readers.
 //!
 //! Data path per query (Fig. 1, made concurrent):
@@ -7,9 +7,9 @@
 //! 1. a worker pins the current [`TableSnapshot`] and scans it — the only
 //!    expensive phase, and it runs with **no lock held**;
 //! 2. the worker feeds the query to [`oreo_core::Oreo::observe`] (or its
-//!    decide/settle halves in measured-Δ mode) under the core mutex, so
-//!    D-UMTS and layout-manager bookkeeping stay *identical* to the
-//!    sequential simulator;
+//!    decide/settle halves in measured-Δ mode) under its tenant's OREO
+//!    mutex, so D-UMTS and layout-manager bookkeeping stay *identical* to
+//!    the sequential simulator;
 //! 3. a switch decision is handed to the reorganizer thread, which
 //!    materializes the target layout aside and atomically publishes it —
 //!    queries keep running on the old snapshot for the whole window, which
@@ -20,17 +20,22 @@
 //! The engine serves N tenants (tables) from one process: a tenant map of
 //! [`SnapshotCell`]s and per-tenant write-path state, one shared worker
 //! pool consuming a unified query stream tagged by tenant, one shared
-//! [`BufferPool`] whose page keys carry the tenant's table id, and one
-//! [`oreo_core::MultiTableOreo`] policy brain behind the core mutex so
-//! each tenant's D-UMTS bookkeeping stays byte-identical to an independent
-//! single-tenant run. The single reorganizer becomes a *scheduler*: switch
-//! decisions queue per tenant (FIFO within a tenant — the order
-//! `Oreo::pending` expects) and are admitted under an optional global α
-//! budget ([`ReorgBudget`]): total reorganization spend may not outrun a
-//! configured fraction of the fleet's cumulative query cost. A deferred
-//! tenant keeps accruing D-UMTS pressure — its counters and ledger are
-//! untouched by deferral — and a hard deferral bound force-admits its
-//! switch so no tenant is starved. Single-tenant construction
+//! [`BufferPool`] whose page keys carry the tenant's table id. Each tenant
+//! owns its [`Oreo`] behind its own mutex (paper §VIII: "each table can
+//! maintain its own instance of OREO"), so its D-UMTS bookkeeping stays
+//! byte-identical to an independent single-tenant run and one tenant's
+//! candidate generation never stalls another's queries or writes. Lock
+//! order is ingest → that tenant's OREO; no thread holds two tenants'
+//! locks. The fleet-wide gauges (`ledger.*`, `core.*`, `ingest.wal_bytes`,
+//! `ingest.delta_rows`, `alpha.table_bytes`) are sums of the tenants',
+//! derived before every export. The single reorganizer becomes a
+//! *scheduler*: switch decisions queue per tenant (FIFO within a tenant —
+//! the order `Oreo::pending` expects) and are admitted under an optional
+//! global α budget ([`ReorgBudget`]): total reorganization spend may not
+//! outrun a configured fraction of the fleet's cumulative query cost. A
+//! deferred tenant keeps accruing D-UMTS pressure — its counters and
+//! ledger are untouched by deferral — and a hard deferral bound
+//! force-admits its switch so no tenant is starved. Single-tenant construction
 //! ([`Engine::start`]) is the N = 1 special case and behaves exactly as
 //! before.
 
@@ -38,7 +43,7 @@ use crate::ingest::{build_fold_snapshot, FoldBuild, IngestState};
 use crate::metrics::{as_micros_u64, LatencyStats};
 use crate::queue::ShardedQueue;
 use crate::reorg::{materialize, ReorgRequest, ReorgWindow};
-use oreo_core::{AlphaEstimator, CostLedger, MultiTableOreo, OreoConfig};
+use oreo_core::{AlphaEstimator, CostLedger, Oreo, OreoConfig};
 use oreo_layout::{LayoutGenerator, SharedSpec};
 use oreo_obs::{
     Counter, Event, EventKind, EventSink, Gauge, Histogram, Journal, NullSink, Registry,
@@ -190,8 +195,8 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Work-queue shards (0 = one per worker).
     pub shards: usize,
-    /// Max queries a worker claims per queue pop (bookkeeping is one core
-    /// lock per batch).
+    /// Max queries a worker claims per queue pop (bookkeeping takes each
+    /// touched tenant's OREO lock once per batch).
     pub batch: usize,
     /// Run the background reorganizer thread. When `false`, switch
     /// decisions still enter the ledger but the served snapshot never
@@ -332,7 +337,7 @@ pub struct QueryOutcome {
     /// Service cost charged to the ledger for this query.
     pub service_cost: f64,
     /// Service latency: worker pickup → completion (scan + bookkeeping,
-    /// including core-mutex wait; excludes time queued behind other
+    /// including OREO-mutex wait; excludes time queued behind other
     /// queries, which a closed-loop harness would otherwise dominate with).
     pub latency: Duration,
 }
@@ -429,15 +434,10 @@ struct LiveMetrics {
 }
 
 impl LiveMetrics {
-    /// The aggregate (unprefixed) series — always registered, so the
-    /// fleet-wide schema is identical whether the engine serves 1 tenant
-    /// or N.
-    fn new(r: &Registry) -> Self {
-        Self::with_prefix(r, "")
-    }
-
-    /// Resolve the same series under `prefix` (e.g. `tenant.0.`) — the
-    /// per-tenant namespace of a multi-tenant engine. Workers publish into
+    /// Resolve the series under `prefix`: empty for the aggregate series
+    /// (always registered, so the fleet-wide schema is identical whether
+    /// the engine serves 1 tenant or N), `tenant.<index>.` for a tenant's
+    /// namespace in a multi-tenant engine. Workers publish counters into
     /// both the aggregate and the tenant's prefixed handles.
     fn with_prefix(r: &Registry, prefix: &str) -> Self {
         let c = |name: &str| r.counter(&format!("{prefix}{name}"));
@@ -499,16 +499,18 @@ impl LiveMetrics {
     }
 }
 
-/// One tenant's serving state: its write path, snapshot cell, disk tier,
-/// and the counters its per-tenant report is assembled from. The policy
-/// state lives in the shared [`MultiTableOreo`] behind the core mutex,
-/// keyed by `name`; the tenant's *index* is the table id stamped on pool
-/// page keys and tiered generations.
+/// One tenant's serving state: its OREO instance, write path, snapshot
+/// cell, disk tier, and metric namespace. The tenant's *index* is the table
+/// id stamped on pool page keys and tiered generations.
 struct Tenant {
-    /// Tenant name — the `MultiTableOreo` key and the report label.
+    /// Tenant name — the report label.
     name: String,
+    /// The tenant's own policy brain. Only this tenant's bookkeeping,
+    /// compaction charges and switch completions take this lock, so one
+    /// tenant's candidate generation never stalls another tenant.
+    oreo: Mutex<Oreo>,
     /// The tenant's write path: delta buffer, WAL, and base identity. Lock
-    /// order is strictly ingest → core; every snapshot publish (ingest
+    /// order is strictly ingest → `oreo`; every snapshot publish (ingest
     /// overlay updates *and* reorganizer folds) happens under this lock so
     /// overlay attachments can never be lost to a racing publish.
     ingest: Mutex<IngestState>,
@@ -518,22 +520,16 @@ struct Tenant {
     tiered: Option<TieredStore>,
     /// Queries whose bookkeeping completed for this tenant.
     observed: AtomicU64,
-    /// Queries fully served for this tenant.
-    completed: AtomicU64,
-    /// Snapshots the scheduler published for this tenant.
-    snapshots_published: AtomicU64,
     /// This tenant's switches the budget scheduler deferred at least once.
     deferrals: AtomicU64,
     /// Largest deferral window (bookkeeping steps, decision → admission)
     /// any of this tenant's switches waited.
     max_deferred_queries: AtomicU64,
-    /// Page bytes this tenant's pooled scans read from disk / served from
-    /// the shared pool.
-    io_cold_bytes: AtomicU64,
-    io_cached_bytes: AtomicU64,
-    /// The tenant's namespaced metric handles (`tenant.<index>.<metric>`)
-    /// — only in multi-tenant runs, so a single-tenant registry stays
+    /// The tenant's registry namespace: `tenant.<index>.` in multi-tenant
+    /// runs, empty in a single-tenant one, whose registry stays
     /// byte-identical to the pre-tenancy schema.
+    prefix: String,
+    /// The tenant's namespaced metric handles — only in multi-tenant runs.
     metrics: Option<LiveMetrics>,
 }
 
@@ -547,11 +543,24 @@ fn metric_views<'a>(
     std::iter::once(&shared.metrics).chain(tenant.metrics.as_ref())
 }
 
+/// `tenant`'s own metric handles: its namespace in a multi-tenant engine,
+/// the aggregate series in a single-tenant one. Gauges are set only here;
+/// [`update_derived_gauges`] sums the tenants' gauges into the fleet's.
+fn own_metrics<'a>(shared: &'a Shared, tenant: &'a Tenant) -> &'a LiveMetrics {
+    tenant.metrics.as_ref().unwrap_or(&shared.metrics)
+}
+
+/// Publish `oreo`'s live ledger and state-space readings into `m`.
+fn publish_core_gauges(m: &LiveMetrics, oreo: &Oreo) {
+    let ledger = oreo.ledger();
+    m.ledger_query_cost.set(ledger.query_cost);
+    m.ledger_reorg_cost.set(ledger.reorg_cost);
+    m.ledger_total.set(ledger.total());
+    m.num_states.set(oreo.num_states() as f64);
+    m.max_states_seen.set(oreo.max_states_seen() as f64);
+}
+
 struct Shared {
-    /// The policy brain: one OREO instance per tenant behind one lock, so
-    /// each tenant's D-UMTS bookkeeping stays byte-identical to an
-    /// independent single-tenant run.
-    core: Mutex<MultiTableOreo>,
     /// The tenant map, indexed by the `tenant` tag jobs carry.
     tenants: Vec<Tenant>,
     /// Page cache shared by every tenant's tiered scans (page keys carry
@@ -562,9 +571,10 @@ struct Shared {
     /// Queries whose bookkeeping completed across all tenants (drives
     /// measured-Δ windows and the scheduler's force-admit bound).
     observed: AtomicU64,
+    /// Submit ids handed out and queries fully served — the pair
+    /// [`Engine::drain`] waits on.
     submitted: AtomicU64,
     completed: AtomicU64,
-    snapshots_published: AtomicU64,
     /// Cumulative service cost across all tenants, in micro-cost-units —
     /// the budget scheduler's admission denominator.
     query_cost_micros: AtomicU64,
@@ -580,34 +590,6 @@ struct Shared {
     sink: Arc<dyn EventSink>,
     /// Engine birth — the exporter's qps/elapsed origin.
     started: Instant,
-}
-
-#[derive(Default)]
-struct WorkerStats {
-    rows_scanned: u64,
-    rows_matched: u64,
-    bytes_scanned: u64,
-    scan_seconds: f64,
-    /// Scans whose bytes came mostly from disk (pool misses), and their
-    /// byte/second volumes — the cold α̂ calibration bucket.
-    cold_scans: u64,
-    cold_scan_bytes: u64,
-    cold_scan_seconds: f64,
-    /// Memory-resident or pool-hit scans — the warm bucket.
-    warm_scan_bytes: u64,
-    warm_scan_seconds: f64,
-    /// Page bytes read from disk / served from the pool across scans.
-    io_cold_bytes: u64,
-    io_cached_bytes: u64,
-    /// Pooled scans that failed (I/O or corruption) and fell back to the
-    /// in-memory snapshot scan.
-    scan_io_errors: u64,
-    /// Vectorized-kernel work: 1024-row chunks evaluated and rows the
-    /// adaptive AND order skipped later kernels for.
-    chunks_evaluated: u64,
-    rows_short_circuited: u64,
-    /// Bytes scanned in delta runs (a subset of `bytes_scanned`).
-    delta_bytes_scanned: u64,
 }
 
 /// One tenant's slice of a run, returned inside [`EngineStats::tenants`].
@@ -752,9 +734,11 @@ pub struct EngineStats {
     pub final_physical: LayoutId,
     /// Logical (D-UMTS) layout when the engine stopped.
     pub final_logical: LayoutId,
-    /// Live state-space size at shutdown.
+    /// Live state-space size at shutdown, summed over tenants (the
+    /// `core.num_states` series).
     pub num_states: usize,
-    /// |S_max| of the competitive bound.
+    /// |S_max| of the competitive bound, summed over tenants (the
+    /// `core.max_states_seen` series).
     pub max_states_seen: usize,
     /// The drained event journal, seq-ordered (empty unless
     /// [`ObsConfig::journal_capacity`] was set). For a sequential FIFO
@@ -896,12 +880,11 @@ type SchedulerOutcome = (Vec<ReorgWindow>, Vec<String>, f64);
 /// [`Engine::drain`] + [`Engine::shutdown`].
 pub struct Engine {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<WorkerStats>>,
+    workers: Vec<JoinHandle<()>>,
     reorg: Option<JoinHandle<SchedulerOutcome>>,
     exporter: Option<JoinHandle<()>>,
     /// Tells the exporter thread to write its final snapshot and exit.
     exporter_stop: Arc<(Mutex<bool>, Condvar)>,
-    started: Instant,
 }
 
 impl Engine {
@@ -955,7 +938,7 @@ impl Engine {
             config.delay = DelaySemantics::Configured;
         }
         let registry = Arc::new(Registry::new());
-        let metrics = LiveMetrics::new(&registry);
+        let metrics = LiveMetrics::with_prefix(&registry, "");
         let journal = (config.obs.journal_capacity > 0).then(|| {
             // Shard per thread that emits: workers + reorganizer + the
             // submitting front end, capped to keep per-journal memory sane.
@@ -967,20 +950,15 @@ impl Engine {
             None => Arc::new(NullSink),
         };
         let multi_tenant = specs.len() > 1;
-        let mut core = MultiTableOreo::new();
         let mut tenants = Vec::with_capacity(specs.len());
         let mut any_tiered = false;
         for (index, spec) in specs.into_iter().enumerate() {
-            core.register(
-                spec.name.clone(),
+            let mut oreo = Oreo::new(
                 Arc::clone(&spec.table),
                 Arc::clone(&spec.initial_spec),
-                Arc::clone(&spec.generator),
+                spec.generator,
                 spec.oreo,
             );
-            let oreo = core
-                .instance_mut(&spec.name)
-                .expect("just-registered tenant");
             oreo.set_event_sink(Arc::clone(&sink));
             let initial_id = oreo.physical_layout();
             let mut initial_snapshot = materialize(&spec.table, &spec.initial_spec, initial_id);
@@ -1037,20 +1015,27 @@ impl Engine {
                 Arc::clone(&spec.table),
                 ingest_errors,
             );
-            let tenant_metrics = multi_tenant
-                .then(|| LiveMetrics::with_prefix(&registry, &format!("tenant.{index}.")));
+            let prefix = if multi_tenant {
+                format!("tenant.{index}.")
+            } else {
+                String::new()
+            };
+            let tenant_metrics = multi_tenant.then(|| LiveMetrics::with_prefix(&registry, &prefix));
+            tenant_metrics
+                .as_ref()
+                .unwrap_or(&metrics)
+                .table_bytes
+                .set(initial_snapshot.total_bytes() as f64);
             tenants.push(Tenant {
                 name: spec.name,
+                oreo: Mutex::new(oreo),
                 ingest: Mutex::new(ingest),
                 cell: SnapshotCell::new(initial_snapshot),
                 tiered,
                 observed: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                snapshots_published: AtomicU64::new(0),
                 deferrals: AtomicU64::new(0),
                 max_deferred_queries: AtomicU64::new(0),
-                io_cold_bytes: AtomicU64::new(0),
-                io_cached_bytes: AtomicU64::new(0),
+                prefix,
                 metrics: tenant_metrics,
             });
         }
@@ -1068,7 +1053,6 @@ impl Engine {
         let worker_count = config.workers.max(1);
         let started = Instant::now();
         let shared = Arc::new(Shared {
-            core: Mutex::new(core),
             tenants,
             pool,
             queue: ShardedQueue::new(effective_shards),
@@ -1076,7 +1060,6 @@ impl Engine {
             observed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            snapshots_published: AtomicU64::new(0),
             query_cost_micros: AtomicU64::new(0),
             drain_lock: Mutex::new(()),
             drain_cv: Condvar::new(),
@@ -1113,16 +1096,6 @@ impl Engine {
         // last worker does.
         drop(reorg_tx);
 
-        let mut fleet_bytes = 0u64;
-        for ten in &shared.tenants {
-            let bytes = ten.cell.pin().total_bytes();
-            fleet_bytes += bytes;
-            if let Some(tm) = &ten.metrics {
-                tm.table_bytes.set(bytes as f64);
-            }
-        }
-        shared.metrics.table_bytes.set(fleet_bytes as f64);
-
         let exporter_stop = Arc::new((Mutex::new(false), Condvar::new()));
         let exporter = shared.config.obs.metrics_json.clone().map(|path| {
             let shared = Arc::clone(&shared);
@@ -1139,7 +1112,6 @@ impl Engine {
             reorg,
             exporter,
             exporter_stop,
-            started,
         }
     }
 
@@ -1240,40 +1212,31 @@ impl Engine {
             for m in metric_views(shared, ten) {
                 m.tiered_errors.inc();
             }
-        } else {
-            let wal_bytes = ing.wal.as_ref().map(Wal::bytes);
-            if let Some(b) = wal_bytes {
-                ing.wal_bytes = b;
-                for m in metric_views(shared, ten) {
-                    m.wal_bytes.set(b as f64);
-                }
-            }
+        } else if let Some(wal) = ing.wal.as_ref() {
+            own_metrics(shared, ten).wal_bytes.set(wal.bytes() as f64);
         }
         let receipt = ing.buffer.apply(ops)?;
-        ing.batches += 1;
-        ing.rows_appended += receipt.appended;
-        ing.rows_deleted += receipt.deleted;
-        ing.rows_written += receipt.rows_written;
         for m in metric_views(shared, ten) {
             m.ingest_batches.inc();
             m.ingest_rows.add(receipt.appended);
             m.ingest_deletes.add(receipt.deleted);
             m.ingest_rows_written.add(receipt.rows_written);
-            m.delta_rows.set(ing.buffer.delta_rows() as f64);
         }
+        own_metrics(shared, ten)
+            .delta_rows
+            .set(ing.buffer.delta_rows() as f64);
         // Publish the new overlay: readers pin snapshots, so clone the
         // current one and re-attach. Still under the ingest lock — every
         // overlay-bearing publish is — so a racing fold can't lose it.
         let mut snapshot = ten.cell.pin().as_ref().clone();
         snapshot.set_delta(ing.buffer.overlay());
         ten.cell.publish(snapshot);
-        // Charge the merge work (lock order ingest → core): rewriting
+        // Charge the merge work (lock order ingest → oreo): rewriting
         // `rows_written` of the table's live rows is that fraction of a
         // full rewrite, which costs α.
         if receipt.rows_written > 0 {
             let live = ing.base.num_rows() as u64 + ing.buffer.delta_rows();
-            let mut core = shared.core.lock().expect("core poisoned");
-            let oreo = core.instance_mut(&ten.name).expect("tenant registered");
+            let mut oreo = ten.oreo.lock().expect("tenant oreo poisoned");
             let alpha = oreo.config().alpha;
             oreo.charge_compaction(
                 alpha * receipt.rows_written as f64 / live.max(1) as f64,
@@ -1347,22 +1310,23 @@ impl Engine {
         self.shared.pool.as_ref()
     }
 
-    /// Snapshot of the bookkeeping ledger, aggregated across tenants (for
-    /// a single-tenant engine this *is* the tenant's ledger).
+    /// Snapshot of the bookkeeping ledger, merged across tenants (for a
+    /// single-tenant engine this *is* the tenant's ledger). Takes one
+    /// tenant's lock at a time.
     pub fn ledger(&self) -> CostLedger {
-        self.shared
-            .core
-            .lock()
-            .expect("core poisoned")
-            .total_ledger()
+        let mut total = CostLedger::new();
+        for tenant in 0..self.num_tenants() {
+            total.merge(&self.ledger_of(tenant));
+        }
+        total
     }
 
     /// Snapshot of one tenant's own ledger.
     pub fn ledger_of(&self, tenant: usize) -> CostLedger {
-        let core = self.shared.core.lock().expect("core poisoned");
-        *core
-            .instance(&self.shared.tenants[tenant].name)
-            .expect("tenant registered")
+        *self.shared.tenants[tenant]
+            .oreo
+            .lock()
+            .expect("tenant oreo poisoned")
             .ledger()
     }
 
@@ -1374,50 +1338,42 @@ impl Engine {
     /// Snapshots published by the reorganization scheduler so far, across
     /// all tenants (a quiesce signal for tests and parity harnesses).
     pub fn snapshots_published(&self) -> u64 {
-        self.shared.snapshots_published.load(Ordering::Relaxed)
+        self.shared.metrics.snapshots_published.get()
     }
 
     /// Stop accepting work, wait for the pipeline (workers + reorganizer)
     /// to finish everything in flight, and return aggregate statistics.
     pub fn shutdown(mut self) -> EngineStats {
-        self.shared.queue.close();
-        let mut totals = WorkerStats::default();
+        let shared = Arc::clone(&self.shared);
+        shared.queue.close();
         for handle in self.workers.drain(..) {
-            let stats = handle.join().expect("worker panicked");
-            totals.rows_scanned += stats.rows_scanned;
-            totals.rows_matched += stats.rows_matched;
-            totals.bytes_scanned += stats.bytes_scanned;
-            totals.scan_seconds += stats.scan_seconds;
-            totals.cold_scans += stats.cold_scans;
-            totals.cold_scan_bytes += stats.cold_scan_bytes;
-            totals.cold_scan_seconds += stats.cold_scan_seconds;
-            totals.warm_scan_bytes += stats.warm_scan_bytes;
-            totals.warm_scan_seconds += stats.warm_scan_seconds;
-            totals.io_cold_bytes += stats.io_cold_bytes;
-            totals.io_cached_bytes += stats.io_cached_bytes;
-            totals.scan_io_errors += stats.scan_io_errors;
-            totals.chunks_evaluated += stats.chunks_evaluated;
-            totals.rows_short_circuited += stats.rows_short_circuited;
-            totals.delta_bytes_scanned += stats.delta_bytes_scanned;
+            handle.join().expect("worker panicked");
         }
         let (windows, mut tiered_errors, reorg_budget_spent) = match self.reorg.take() {
             Some(handle) => handle.join().expect("reorganizer panicked"),
             None => (Vec::new(), Vec::new(), 0.0),
         };
-        // Fold every tenant's write-path degradations and counters in
-        // (lock order: ingest before core).
-        let mut ingest_summary = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-        for ten in &self.shared.tenants {
-            let ing = ten.ingest.lock().expect("ingest poisoned");
-            tiered_errors.extend(ing.errors.iter().cloned());
-            ingest_summary.0 += ing.batches;
-            ingest_summary.1 += ing.rows_appended;
-            ingest_summary.2 += ing.rows_deleted;
-            ingest_summary.3 += ing.rows_written;
-            ingest_summary.4 += ing.buffer.delta_rows();
-            ingest_summary.5 += ing.buffer.tombstone_count() as u64;
-            ingest_summary.6 += ing.wal_bytes;
+        // Fold every tenant's write-path degradations in, and refresh its
+        // policy gauges past the compaction charges and switch completions
+        // that landed after its last batch.
+        let mut tombstones = 0u64;
+        let mut policies = Vec::with_capacity(shared.tenants.len());
+        for ten in &shared.tenants {
+            {
+                let ing = ten.ingest.lock().expect("ingest poisoned");
+                tiered_errors.extend(ing.errors.iter().cloned());
+                tombstones += ing.buffer.tombstone_count() as u64;
+            }
+            let oreo = ten.oreo.lock().expect("tenant oreo poisoned");
+            publish_core_gauges(own_metrics(&shared, ten), &oreo);
+            policies.push((
+                *oreo.ledger(),
+                oreo.switches(),
+                oreo.physical_layout(),
+                oreo.logical_layout(),
+            ));
         }
+        update_derived_gauges(&shared);
         // Stop the exporter last among the threads so its final snapshot
         // sees the fully drained counters.
         if let Some(handle) = self.exporter.take() {
@@ -1426,60 +1382,66 @@ impl Engine {
             cv.notify_all();
             handle.join().expect("metrics exporter panicked");
         }
-        if let Some(path) = &self.shared.config.obs.metrics_prom {
-            update_derived_gauges(&self.shared);
-            let prom = self.shared.registry.snapshot().to_prometheus();
-            if let Err(e) = std::fs::write(path, prom) {
+        let snap = shared.registry.snapshot();
+        if let Some(path) = &shared.config.obs.metrics_prom {
+            if let Err(e) = std::fs::write(path, snap.to_prometheus()) {
                 eprintln!("oreo-metrics: prometheus dump to {path:?} failed: {e}");
             }
         }
-        let (events, events_dropped) = match &self.shared.journal {
+        let (events, events_dropped) = match &shared.journal {
             Some(journal) => (journal.drain(), journal.events_dropped()),
             None => (Vec::new(), 0),
         };
-        let elapsed = self.started.elapsed();
-        let table_bytes = self
-            .shared
+        let elapsed = shared.started.elapsed();
+        // Every reported count is read off the one registry snapshot.
+        let counter = |prefix: &str, series: &str| {
+            snap.counter(&format!("{prefix}{series}"))
+                .expect("the engine registers every counter it reports")
+        };
+        let seconds = |series: &str| counter("", series) as f64 / 1e9;
+        // A count-valued fleet gauge; 0 while it was never set.
+        let gauge = |series: &str| {
+            let value = snap
+                .gauge(series)
+                .expect("the engine registers every gauge it reports");
+            if value.is_finite() {
+                value as u64
+            } else {
+                0
+            }
+        };
+        let latency = |prefix: &str| {
+            let hist = snap.histogram(&format!("{prefix}engine.latency_us"));
+            LatencyStats::from_stats(&hist.expect("the engine registers its latency histogram"))
+        };
+        let tenants: Vec<TenantStats> = shared
             .tenants
             .iter()
-            .map(|t| t.cell.pin().total_bytes())
-            .sum();
-        let core = self.shared.core.lock().expect("core poisoned");
-        let queries = self.shared.completed.load(Ordering::Relaxed);
-        let tenants: Vec<TenantStats> = self
-            .shared
-            .tenants
-            .iter()
-            .map(|ten| {
-                let oreo = core.instance(&ten.name).expect("tenant registered");
-                let latency_hist = ten
-                    .metrics
-                    .as_ref()
-                    .map(|m| &m.latency_us)
-                    .unwrap_or(&self.shared.metrics.latency_us);
-                TenantStats {
+            .zip(policies)
+            .map(
+                |(ten, (ledger, switches, final_physical, final_logical))| TenantStats {
                     name: ten.name.clone(),
-                    queries: ten.completed.load(Ordering::Relaxed),
-                    latency: LatencyStats::from_histogram(latency_hist),
-                    ledger: *oreo.ledger(),
-                    switches: oreo.switches(),
-                    snapshots_published: ten.snapshots_published.load(Ordering::Relaxed),
+                    queries: counter(&ten.prefix, "engine.queries_completed"),
+                    latency: latency(&ten.prefix),
+                    ledger,
+                    switches,
+                    snapshots_published: counter(&ten.prefix, "reorg.snapshots_published"),
                     reorg_deferrals: ten.deferrals.load(Ordering::Relaxed),
                     max_deferred_queries: ten.max_deferred_queries.load(Ordering::Relaxed),
-                    io_cold_bytes: ten.io_cold_bytes.load(Ordering::Relaxed),
-                    io_cached_bytes: ten.io_cached_bytes.load(Ordering::Relaxed),
-                    final_physical: oreo.physical_layout(),
-                    final_logical: oreo.logical_layout(),
-                }
-            })
+                    io_cold_bytes: counter(&ten.prefix, "engine.io_cold_bytes"),
+                    io_cached_bytes: counter(&ten.prefix, "engine.io_cached_bytes"),
+                    final_physical,
+                    final_logical,
+                },
+            )
             .collect();
-        // Single-tenant compatibility: the engine-level layout/state-space
-        // readings are tenant 0's.
-        let first = core
-            .instance(&self.shared.tenants[0].name)
-            .expect("tenant registered");
+        let mut ledger = CostLedger::new();
+        for ten in &tenants {
+            ledger.merge(&ten.ledger);
+        }
+        let queries = counter("", "engine.queries_completed");
         EngineStats {
-            workers: self.shared.config.workers.max(1),
+            workers: shared.config.workers.max(1),
             queries,
             elapsed,
             qps: if elapsed.as_secs_f64() > 0.0 {
@@ -1487,42 +1449,42 @@ impl Engine {
             } else {
                 0.0
             },
-            latency: LatencyStats::from_histogram(&self.shared.metrics.latency_us),
-            ledger: core.total_ledger(),
+            latency: latency(""),
+            ledger,
             switches: tenants.iter().map(|t| t.switches).sum(),
-            snapshots_published: self.shared.snapshots_published.load(Ordering::Relaxed),
+            snapshots_published: counter("", "reorg.snapshots_published"),
             windows,
             tiered_errors,
             reorg_budget_spent,
-            rows_scanned: totals.rows_scanned,
-            rows_matched: totals.rows_matched,
-            bytes_scanned: totals.bytes_scanned,
-            scan_seconds: totals.scan_seconds,
-            cold_scans: totals.cold_scans,
-            cold_scan_bytes: totals.cold_scan_bytes,
-            cold_scan_seconds: totals.cold_scan_seconds,
-            warm_scan_bytes: totals.warm_scan_bytes,
-            warm_scan_seconds: totals.warm_scan_seconds,
-            io_cold_bytes: totals.io_cold_bytes,
-            io_cached_bytes: totals.io_cached_bytes,
-            pool: self.shared.pool.as_ref().map(|p| p.stats()),
-            scan_io_errors: totals.scan_io_errors,
-            chunks_evaluated: totals.chunks_evaluated,
-            rows_short_circuited: totals.rows_short_circuited,
-            delta_bytes_scanned: totals.delta_bytes_scanned,
-            ingest_batches: ingest_summary.0,
-            rows_appended: ingest_summary.1,
-            rows_deleted: ingest_summary.2,
-            ingest_rows_written: ingest_summary.3,
-            delta_rows: ingest_summary.4,
-            tombstones: ingest_summary.5,
-            wal_bytes: ingest_summary.6,
-            table_bytes,
-            mode: self.shared.config.mode.clone(),
-            final_physical: first.physical_layout(),
-            final_logical: first.logical_layout(),
-            num_states: first.num_states(),
-            max_states_seen: first.max_states_seen(),
+            rows_scanned: counter("", "engine.rows_scanned"),
+            rows_matched: counter("", "engine.rows_matched"),
+            bytes_scanned: counter("", "engine.bytes_scanned"),
+            scan_seconds: seconds("engine.scan_ns"),
+            cold_scans: counter("", "engine.cold_scans"),
+            cold_scan_bytes: counter("", "engine.cold_scan_bytes"),
+            cold_scan_seconds: seconds("engine.cold_scan_ns"),
+            warm_scan_bytes: counter("", "engine.warm_scan_bytes"),
+            warm_scan_seconds: seconds("engine.warm_scan_ns"),
+            io_cold_bytes: counter("", "engine.io_cold_bytes"),
+            io_cached_bytes: counter("", "engine.io_cached_bytes"),
+            pool: shared.pool.as_ref().map(|p| p.stats()),
+            scan_io_errors: counter("", "engine.scan_io_errors"),
+            chunks_evaluated: counter("", "engine.chunks_evaluated"),
+            rows_short_circuited: counter("", "engine.rows_short_circuited"),
+            delta_bytes_scanned: counter("", "engine.delta_bytes_scanned"),
+            ingest_batches: counter("", "ingest.batches"),
+            rows_appended: counter("", "ingest.rows_appended"),
+            rows_deleted: counter("", "ingest.rows_deleted"),
+            ingest_rows_written: counter("", "ingest.rows_written"),
+            delta_rows: gauge("ingest.delta_rows"),
+            tombstones,
+            wal_bytes: gauge("ingest.wal_bytes"),
+            table_bytes: gauge("alpha.table_bytes"),
+            mode: shared.config.mode.clone(),
+            final_physical: tenants[0].final_physical,
+            final_logical: tenants[0].final_logical,
+            num_states: gauge("core.num_states") as usize,
+            max_states_seen: gauge("core.max_states_seen") as usize,
             tenants,
             events,
             events_dropped,
@@ -1545,9 +1507,36 @@ impl Drop for Engine {
 
 /// Recompute the derived gauges — qps, α̂ (rebuilt from the monotone
 /// scan/rewrite counters via [`AlphaEstimator`], `NaN` when a side has no
-/// samples yet), and the buffer-pool readings.
+/// samples yet), the buffer-pool readings, and, with more than one tenant,
+/// the fleet-wide sums of the tenants' own gauges.
 fn update_derived_gauges(shared: &Shared) {
     let m = &shared.metrics;
+    if shared.tenants.len() > 1 {
+        let fleet_sums: [fn(&LiveMetrics) -> &Gauge; 8] = [
+            |m| &m.ledger_query_cost,
+            |m| &m.ledger_reorg_cost,
+            |m| &m.ledger_total,
+            |m| &m.num_states,
+            |m| &m.max_states_seen,
+            |m| &m.delta_rows,
+            |m| &m.wal_bytes,
+            |m| &m.table_bytes,
+        ];
+        for gauge in fleet_sums {
+            // Unset (NaN) tenant gauges count for nothing; the fleet's stays
+            // unset until some tenant's is set.
+            let sum = shared
+                .tenants
+                .iter()
+                .filter_map(|t| t.metrics.as_ref())
+                .map(|tm| gauge(tm).get())
+                .filter(|v| !v.is_nan())
+                .reduce(|a, b| a + b);
+            if let Some(sum) = sum {
+                gauge(m).set(sum);
+            }
+        }
+    }
     let elapsed = shared.started.elapsed().as_secs_f64();
     let completed = shared.completed.load(Ordering::Relaxed);
     if elapsed > 0.0 {
@@ -1620,12 +1609,10 @@ fn exporter_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), path: &std::pat
     write_one(shared, &mut writer);
 }
 
-fn worker_loop(
-    shared: &Shared,
-    home: usize,
-    reorg_tx: Option<Sender<ReorgRequest>>,
-) -> WorkerStats {
-    let mut stats = WorkerStats::default();
+fn worker_loop(shared: &Shared, home: usize, reorg_tx: Option<Sender<ReorgRequest>>) {
+    // A persistent fault (unreadable file, bad disk) would otherwise print
+    // once per queued query; the full count lands in scan_io_errors.
+    let mut scan_error_reported = false;
     while let Some(batch) = shared.queue.pop_batch(home, shared.config.batch) {
         // Phase 1 — scans against the job's tenant's pinned snapshot, no
         // locks held. In tiered serving the scan reads partition pages
@@ -1646,14 +1633,11 @@ fn worker_loop(
                 (Some(pool), Some(_)) => match snapshot.scan_pooled(&job.query.predicate, pool) {
                     Ok(scan) => scan,
                     Err(e) => {
-                        stats.scan_io_errors += 1;
                         for m in metric_views(shared, ten) {
                             m.scan_io_errors.inc();
                         }
-                        // A persistent fault (unreadable file, bad disk)
-                        // would otherwise print once per queued query;
-                        // the full count lands in scan_io_errors.
-                        if stats.scan_io_errors == 1 {
+                        if !scan_error_reported {
+                            scan_error_reported = true;
                             eprintln!(
                                 "oreo-worker-{home}: pooled scan failed: {e} (memory \
                                  fallback; further errors counted silently)"
@@ -1665,21 +1649,11 @@ fn worker_loop(
                 _ => snapshot.scan(&job.query.predicate),
             };
             let scan_wall = picked.elapsed();
-            let elapsed = scan_wall.as_secs_f64();
             let scan_ns = scan_wall.as_nanos().min(u128::from(u64::MAX)) as u64;
-            stats.scan_seconds += elapsed;
-            stats.rows_scanned += scan.rows_read;
-            stats.rows_matched += scan.matches.len() as u64;
-            stats.bytes_scanned += scan.bytes_scanned;
-            stats.io_cold_bytes += scan.io_cold_bytes;
-            stats.io_cached_bytes += scan.io_cached_bytes;
-            stats.chunks_evaluated += scan.chunks_evaluated;
-            stats.rows_short_circuited += scan.rows_short_circuited;
-            stats.delta_bytes_scanned += scan.delta_bytes_scanned;
-            ten.io_cold_bytes
-                .fetch_add(scan.io_cold_bytes, Ordering::Relaxed);
-            ten.io_cached_bytes
-                .fetch_add(scan.io_cached_bytes, Ordering::Relaxed);
+            // Temperature classification: a scan is "cold" when the
+            // majority of its page bytes came from disk. Memory scans
+            // (no pooled I/O at all) are warm by definition.
+            let cold = scan.io_cold_bytes > 0 && scan.io_cold_bytes >= scan.io_cached_bytes;
             for m in metric_views(shared, ten) {
                 m.rows_scanned.add(scan.rows_read);
                 m.rows_matched.add(scan.matches.len() as u64);
@@ -1691,23 +1665,11 @@ fn worker_loop(
                 m.rows_short_circuited.add(scan.rows_short_circuited);
                 m.delta_bytes_scanned.add(scan.delta_bytes_scanned);
                 m.scan_us.record(as_micros_u64(scan_wall));
-            }
-            // Temperature classification: a scan is "cold" when the
-            // majority of its page bytes came from disk. Memory scans
-            // (no pooled I/O at all) are warm by definition.
-            if scan.io_cold_bytes > 0 && scan.io_cold_bytes >= scan.io_cached_bytes {
-                stats.cold_scans += 1;
-                stats.cold_scan_bytes += scan.bytes_scanned;
-                stats.cold_scan_seconds += elapsed;
-                for m in metric_views(shared, ten) {
+                if cold {
                     m.cold_scans.inc();
                     m.cold_scan_bytes.add(scan.bytes_scanned);
                     m.cold_scan_ns.add(scan_ns);
-                }
-            } else {
-                stats.warm_scan_bytes += scan.bytes_scanned;
-                stats.warm_scan_seconds += elapsed;
-                for m in metric_views(shared, ten) {
+                } else {
                     m.warm_scan_bytes.add(scan.bytes_scanned);
                     m.warm_scan_ns.add(scan_ns);
                 }
@@ -1723,18 +1685,21 @@ fn worker_loop(
             scanned.push((job, picked, scan, snapshot.layout(), snapshot.epoch()));
         }
 
-        // Phase 2 — bookkeeping for the whole batch under one core lock.
-        // Each query flows through its own tenant's OREO instance, so the
-        // per-tenant decision stream is exactly the single-tenant one.
+        // Phase 2 — bookkeeping, one tenant at a time: each tenant's jobs
+        // (in arrival order — the sort is stable) flow through its own
+        // OREO instance under its own lock, so the per-tenant decision
+        // stream is exactly the single-tenant one and no tenant waits on
+        // another's candidate generation.
+        scanned.sort_by_key(|(job, ..)| job.tenant);
         let mut fulfilled = Vec::with_capacity(scanned.len());
-        {
-            let mut core = shared.core.lock().expect("core poisoned");
-            let mut touched = vec![false; shared.tenants.len()];
-            for (job, picked, scan, served_layout, served_epoch) in scanned {
-                let tenant_index = job.tenant as usize;
-                let ten = &shared.tenants[tenant_index];
-                touched[tenant_index] = true;
-                let oreo = core.instance_mut(&ten.name).expect("tenant registered");
+        let mut scanned = scanned.into_iter().peekable();
+        while let Some((first, ..)) = scanned.peek() {
+            let tenant_index = first.tenant as usize;
+            let ten = &shared.tenants[tenant_index];
+            let mut oreo = ten.oreo.lock().expect("tenant oreo poisoned");
+            while let Some((job, picked, scan, served_layout, served_epoch)) =
+                scanned.next_if(|(job, ..)| job.tenant as usize == tenant_index)
+            {
                 let report = match shared.config.delay {
                     DelaySemantics::Configured => oreo.observe(&job.query),
                     DelaySemantics::Measured => {
@@ -1757,7 +1722,7 @@ fn worker_loop(
                     if let Some(tx) = &reorg_tx {
                         let spec = oreo.spec(target).expect("decided target has a spec");
                         let charge = oreo.config().alpha;
-                        // Send while holding the core lock so the build
+                        // Send while holding the tenant's lock so the build
                         // queue and `Oreo::pending` stay in the same order.
                         let _ = tx.send(ReorgRequest {
                             tenant: job.tenant,
@@ -1787,38 +1752,7 @@ fn worker_loop(
                     },
                 ));
             }
-            // Batch-granular gauges, read while the lock already serializes
-            // the core: the live ledger and state-space views, aggregated
-            // across tenants plus the namespaced view of each tenant this
-            // batch touched.
-            let m = &shared.metrics;
-            let ledger = core.total_ledger();
-            m.ledger_query_cost.set(ledger.query_cost);
-            m.ledger_reorg_cost.set(ledger.reorg_cost);
-            m.ledger_total.set(ledger.total());
-            let mut num_states = 0usize;
-            let mut max_states = 0usize;
-            for ten in &shared.tenants {
-                let oreo = core.instance(&ten.name).expect("tenant registered");
-                num_states += oreo.num_states();
-                max_states += oreo.max_states_seen();
-            }
-            m.num_states.set(num_states as f64);
-            m.max_states_seen.set(max_states as f64);
-            for (tenant_index, ten) in shared.tenants.iter().enumerate() {
-                if !touched[tenant_index] {
-                    continue;
-                }
-                if let Some(tm) = &ten.metrics {
-                    let oreo = core.instance(&ten.name).expect("tenant registered");
-                    let ledger = oreo.ledger();
-                    tm.ledger_query_cost.set(ledger.query_cost);
-                    tm.ledger_reorg_cost.set(ledger.reorg_cost);
-                    tm.ledger_total.set(ledger.total());
-                    tm.num_states.set(oreo.num_states() as f64);
-                    tm.max_states_seen.set(oreo.max_states_seen() as f64);
-                }
-            }
+            publish_core_gauges(own_metrics(shared, ten), &oreo);
         }
 
         // Phase 3 — fulfill results and wake drainers.
@@ -1843,12 +1777,10 @@ fn worker_loop(
                 drop(v);
                 slot.ready.notify_all();
             }
-            ten.completed.fetch_add(1, Ordering::Relaxed);
             shared.completed.fetch_add(1, Ordering::Release);
         }
         shared.drain_cv.notify_all();
     }
-    stats
 }
 
 /// The reorganization scheduler, run on the `oreo-reorg` thread: switch
@@ -2039,10 +1971,9 @@ fn execute_reorg(
     }
     let rows = snapshot.total_rows();
     let partitions = snapshot.num_partitions();
-    let snapshot_bytes = snapshot.total_bytes();
     // The snapshot's metadata *is* the target's exact model; hand it to
-    // the core so the next settle() does not rebuild it under the serving
-    // mutex.
+    // the tenant's OREO so the next settle() does not rebuild it under the
+    // serving mutex.
     let exact = snapshot.model();
     // Disk tier: persist the aside rewrite (write + fsync + atomic rename)
     // *before* the pointer swap — the rename is the durability point. A
@@ -2126,21 +2057,19 @@ fn execute_reorg(
                         m.tiered_errors.inc();
                     }
                 }
-                let wal_bytes = ing.wal.as_ref().map(Wal::bytes);
-                if let Some(b) = wal_bytes {
-                    ing.wal_bytes = b;
-                    for m in metric_views(shared, ten) {
-                        m.wal_bytes.set(b as f64);
-                    }
+                if let Some(wal) = ing.wal.as_ref() {
+                    own_metrics(shared, ten).wal_bytes.set(wal.bytes() as f64);
                 }
             }
         }
         // Re-attach the live overlay (batches ingested during the build)
         // under the same lock every overlay publish takes.
         snapshot.set_delta(ing.buffer.overlay());
-        for m in metric_views(shared, ten) {
-            m.delta_rows.set(ing.buffer.delta_rows() as f64);
-        }
+        let own = own_metrics(shared, ten);
+        own.delta_rows.set(ing.buffer.delta_rows() as f64);
+        // Persisting re-measures partition bytes as encoded file sizes, so
+        // read the table size off the snapshot actually published.
+        own.table_bytes.set(snapshot.total_bytes() as f64);
         ten.cell.publish(snapshot);
     }
     if folded_rows > 0 {
@@ -2173,24 +2102,12 @@ fn execute_reorg(
             });
         }
     }
-    shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
-    ten.snapshots_published.fetch_add(1, Ordering::Relaxed);
     for m in metric_views(shared, ten) {
         m.snapshots_published.inc();
     }
-    if let Some(tm) = &ten.metrics {
-        tm.table_bytes.set(snapshot_bytes as f64);
-    }
-    let fleet_bytes: u64 = shared
-        .tenants
-        .iter()
-        .map(|t| t.cell.pin().total_bytes())
-        .sum();
-    shared.metrics.table_bytes.set(fleet_bytes as f64);
     let measured = shared.config.delay == DelaySemantics::Measured;
     if measured || merged.is_some() {
-        let mut core = shared.core.lock().expect("core poisoned");
-        let oreo = core.instance_mut(&ten.name).expect("tenant registered");
+        let mut oreo = ten.oreo.lock().expect("tenant oreo poisoned");
         if let Some((table, _)) = merged {
             // Deltas folded in: the tenant's exact models must rebuild
             // against the merged base, and the merge work beyond the

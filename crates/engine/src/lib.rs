@@ -426,7 +426,61 @@ mod tests {
         let latency = snap.histogram("engine.latency_us").expect("histogram");
         assert_eq!(latency.count, 300);
 
+        let registry = Arc::clone(engine.registry());
         let stats = engine.shutdown();
+
+        // One source of truth: every reported count is its registry series.
+        let snap = registry.snapshot();
+        let tenant = &stats.tenants[0];
+        for (reported, series) in [
+            (stats.queries, "engine.queries_completed"),
+            (tenant.queries, "engine.queries_completed"),
+            (stats.switches, "reorg.switches"),
+            (stats.snapshots_published, "reorg.snapshots_published"),
+            (tenant.snapshots_published, "reorg.snapshots_published"),
+            (stats.rows_scanned, "engine.rows_scanned"),
+            (stats.rows_matched, "engine.rows_matched"),
+            (stats.bytes_scanned, "engine.bytes_scanned"),
+            (stats.cold_scans, "engine.cold_scans"),
+            (stats.cold_scan_bytes, "engine.cold_scan_bytes"),
+            (stats.warm_scan_bytes, "engine.warm_scan_bytes"),
+            (stats.io_cold_bytes, "engine.io_cold_bytes"),
+            (tenant.io_cold_bytes, "engine.io_cold_bytes"),
+            (stats.io_cached_bytes, "engine.io_cached_bytes"),
+            (tenant.io_cached_bytes, "engine.io_cached_bytes"),
+            (stats.scan_io_errors, "engine.scan_io_errors"),
+            (stats.chunks_evaluated, "engine.chunks_evaluated"),
+            (stats.rows_short_circuited, "engine.rows_short_circuited"),
+            (stats.delta_bytes_scanned, "engine.delta_bytes_scanned"),
+            (stats.ingest_batches, "ingest.batches"),
+            (stats.rows_appended, "ingest.rows_appended"),
+            (stats.rows_deleted, "ingest.rows_deleted"),
+            (stats.ingest_rows_written, "ingest.rows_written"),
+        ] {
+            assert_eq!(Some(reported), snap.counter(series), "{series}");
+        }
+        for (reported, series) in [
+            (stats.scan_seconds * 1e9, "engine.scan_ns"),
+            (stats.warm_scan_seconds * 1e9, "engine.warm_scan_ns"),
+        ] {
+            let ns = snap.counter(series).expect("registered") as f64;
+            assert!((reported - ns).abs() < 1e-3, "{series}");
+        }
+        for (reported, series) in [
+            (stats.table_bytes as f64, "alpha.table_bytes"),
+            (stats.num_states as f64, "core.num_states"),
+            (stats.max_states_seen as f64, "core.max_states_seen"),
+            (stats.ledger.total(), "ledger.total"),
+        ] {
+            assert_eq!(Some(reported), snap.gauge(series), "{series}");
+        }
+        let latency = snap.histogram("engine.latency_us").expect("registered");
+        assert_eq!(stats.latency, LatencyStats::from_stats(&latency));
+        assert_eq!(tenant.latency, stats.latency);
+        let mut merged = CostLedger::new();
+        merged.merge(&tenant.ledger);
+        assert_eq!(stats.ledger, merged);
+
         assert_eq!(stats.events_dropped, 0, "journal sized for the run");
         assert!(!stats.events.is_empty());
         // seq-sorted and unique

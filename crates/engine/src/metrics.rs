@@ -2,12 +2,12 @@
 //! streaming histograms.
 //!
 //! Workers record each query's latency into a shared log-bucketed
-//! [`Histogram`] as it completes, so percentiles are available **live**
-//! (the metrics exporter reads them mid-run) and the engine's memory for
-//! latency tracking is a fixed ~15 KiB per histogram — *not* one `u64`
-//! per query. The earlier per-worker sample vectors grew without bound
-//! on long runs; that path survives only as the exact test oracle
-//! ([`LatencyStats::from_samples`]), used by tests to bound the
+//! [`Histogram`](oreo_obs::Histogram) as it completes, so percentiles are
+//! available **live** (the metrics exporter reads them mid-run) and the
+//! engine's memory for latency tracking is a fixed ~15 KiB per histogram
+//! — *not* one `u64` per query. The earlier per-worker sample vectors grew
+//! without bound on long runs; that path survives only as the exact test
+//! oracle ([`LatencyStats::from_samples`]), used by tests to bound the
 //! histogram's error on bounded streams.
 //!
 //! Accuracy: histogram percentiles are within one log-bucket of the
@@ -15,7 +15,7 @@
 //! `oreo_obs::RELATIVE_ERROR` (1/32 ≈ 3.1%); values below 32 µs are
 //! exact. Count, sum, mean, and max are exact in both paths.
 
-use oreo_obs::Histogram;
+use oreo_obs::HistogramStats;
 use std::time::Duration;
 
 /// Summary statistics over a set of per-query latencies.
@@ -38,7 +38,7 @@ pub struct LatencyStats {
 impl LatencyStats {
     /// Compute exact stats from raw microsecond samples (sorts in place).
     ///
-    /// This is the **test oracle** for [`LatencyStats::from_histogram`]:
+    /// This is the **test oracle** for [`LatencyStats::from_stats`]:
     /// the engine no longer retains per-query samples (unbounded for
     /// long streams); tests that want exact percentiles collect a
     /// bounded sample vector themselves and compare the two paths.
@@ -59,11 +59,11 @@ impl LatencyStats {
         }
     }
 
-    /// Read the summary from a streaming histogram: count/mean/max are
-    /// exact, percentiles carry the log-bucket error documented in
-    /// [`oreo_obs::RELATIVE_ERROR`].
-    pub fn from_histogram(hist: &Histogram) -> Self {
-        let s = hist.stats();
+    /// Read the summary from a streaming histogram's stats (a live
+    /// [`oreo_obs::Histogram::stats`] or a registry snapshot's entry):
+    /// count/mean/max are exact, percentiles carry the log-bucket error
+    /// documented in [`oreo_obs::RELATIVE_ERROR`].
+    pub fn from_stats(s: &HistogramStats) -> Self {
         if s.count == 0 {
             return Self::default();
         }
@@ -93,7 +93,7 @@ pub fn as_micros_u64(d: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oreo_obs::RELATIVE_ERROR;
+    use oreo_obs::{Histogram, RELATIVE_ERROR};
     use proptest::prelude::*;
 
     #[test]
@@ -103,7 +103,7 @@ mod tests {
             LatencyStats::default()
         );
         assert_eq!(
-            LatencyStats::from_histogram(&Histogram::new()),
+            LatencyStats::from_stats(&Histogram::new().stats()),
             LatencyStats::default()
         );
     }
@@ -130,7 +130,7 @@ mod tests {
         let h = Histogram::new();
         h.record(42);
         assert_eq!(
-            LatencyStats::from_histogram(&h),
+            LatencyStats::from_stats(&h.stats()),
             st,
             "42 < 32? no — 42 \
             lands in a width-2 bucket; midpoint of [42,43] is 42"
@@ -162,7 +162,7 @@ mod tests {
             for &v in &samples {
                 h.record(v);
             }
-            let approx = LatencyStats::from_histogram(&h);
+            let approx = LatencyStats::from_stats(&h.stats());
             let exact = LatencyStats::from_samples(&mut samples);
             prop_assert_eq!(approx.count, exact.count);
             prop_assert!((approx.mean_us - exact.mean_us).abs() < 1e-6);

@@ -11,13 +11,13 @@
 //! force-admit bound: every tenant's due switch lands within a bounded
 //! deferral window even when the α budget admits nothing.
 
-use oreo_core::OreoConfig;
-use oreo_engine::{Engine, EngineConfig, EngineStats, ReorgBudget, TenantSpec};
-use oreo_layout::RangeLayout;
+use oreo_core::{CostLedger, OreoConfig};
+use oreo_engine::{Engine, EngineConfig, EngineStats, LatencyStats, ReorgBudget, TenantSpec};
+use oreo_layout::{LayoutGenerator, RangeLayout, SharedSpec};
 use oreo_query::{ColumnType, Query, QueryBuilder, Scalar, Schema};
 use oreo_storage::{IngestOp, Table, TableBuilder};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn table(kind: u64, n: i64) -> Arc<Table> {
@@ -309,9 +309,72 @@ fn three_tenants_fold_parity_and_namespaces_tiered() {
         "aggregate must equal the sum of tenant series"
     );
 
+    let registry = Arc::clone(engine.registry());
     let multi = engine.shutdown();
     assert!(multi.tiered_errors.is_empty(), "{:?}", multi.tiered_errors);
     assert_eq!(multi.tenants.len(), 3);
+
+    // One source of truth: the fleet's and each tenant's reported counts
+    // are their registry series, the fleet gauges sum the tenants', and the
+    // fleet ledger is the merge of the tenants' ledgers.
+    let snap = registry.snapshot();
+    let counter = |prefix: &str, series: &str| snap.counter(&format!("{prefix}{series}"));
+    for (reported, series) in [
+        (multi.queries, "engine.queries_completed"),
+        (multi.switches, "reorg.switches"),
+        (multi.snapshots_published, "reorg.snapshots_published"),
+        (multi.rows_scanned, "engine.rows_scanned"),
+        (multi.rows_matched, "engine.rows_matched"),
+        (multi.bytes_scanned, "engine.bytes_scanned"),
+        (multi.cold_scans, "engine.cold_scans"),
+        (multi.io_cold_bytes, "engine.io_cold_bytes"),
+        (multi.io_cached_bytes, "engine.io_cached_bytes"),
+        (multi.scan_io_errors, "engine.scan_io_errors"),
+        (multi.delta_bytes_scanned, "engine.delta_bytes_scanned"),
+        (multi.ingest_batches, "ingest.batches"),
+        (multi.rows_appended, "ingest.rows_appended"),
+        (multi.rows_deleted, "ingest.rows_deleted"),
+        (multi.ingest_rows_written, "ingest.rows_written"),
+    ] {
+        assert_eq!(Some(reported), counter("", series), "{series}");
+    }
+    assert!(
+        multi.ingest_batches > 0,
+        "the trace ingests on every tenant"
+    );
+    let mut merged = CostLedger::new();
+    for (i, ten) in multi.tenants.iter().enumerate() {
+        let prefix = format!("tenant.{i}.");
+        for (reported, series) in [
+            (ten.queries, "engine.queries_completed"),
+            (ten.switches, "reorg.switches"),
+            (ten.snapshots_published, "reorg.snapshots_published"),
+            (ten.io_cold_bytes, "engine.io_cold_bytes"),
+            (ten.io_cached_bytes, "engine.io_cached_bytes"),
+        ] {
+            assert_eq!(Some(reported), counter(&prefix, series), "{prefix}{series}");
+        }
+        let latency = snap.histogram(&format!("{prefix}engine.latency_us"));
+        let latency = LatencyStats::from_stats(&latency.expect("registered"));
+        assert_eq!(ten.latency, latency);
+        let total = snap.gauge(&format!("{prefix}ledger.total"));
+        assert_eq!(Some(ten.ledger.total()), total);
+        merged.merge(&ten.ledger);
+    }
+    assert_eq!(multi.ledger, merged);
+    let gauge = |name: &str| snap.gauge(name).expect("registered");
+    for (reported, series) in [
+        (multi.wal_bytes as f64, "ingest.wal_bytes"),
+        (multi.delta_rows as f64, "ingest.delta_rows"),
+        (multi.table_bytes as f64, "alpha.table_bytes"),
+        (multi.num_states as f64, "core.num_states"),
+        (multi.max_states_seen as f64, "core.max_states_seen"),
+        (multi.ledger.total(), "ledger.total"),
+    ] {
+        let tenant_sum: f64 = (0..3).map(|i| gauge(&format!("tenant.{i}.{series}"))).sum();
+        assert!((reported - gauge(series)).abs() < 1e-9, "{series}");
+        assert_eq!(gauge(series), tenant_sum, "{series}");
+    }
     assert_eq!(
         multi.queries,
         multi.tenants.iter().map(|t| t.queries).sum::<u64>()
@@ -451,4 +514,96 @@ fn zero_budget_scheduler_never_starves_a_tenant() {
             .unwrap_or(0);
         assert_eq!(ten.max_deferred_queries, max_in_windows, "{}", ten.name);
     }
+}
+
+/// A candidate generator whose first call after `park` is filled parks:
+/// it reports on the slot's sender, then waits until its receiver's sender
+/// (the test's `release`) sends or is dropped.
+struct ParkingGenerator {
+    inner: oreo_layout::QdTreeGenerator,
+    park: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl LayoutGenerator for ParkingGenerator {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn generate(
+        &self,
+        sample: &Table,
+        workload: &[Query],
+        k: usize,
+        rng: &mut rand::rngs::StdRng,
+    ) -> SharedSpec {
+        let park = self.park.lock().expect("park slot poisoned").take();
+        if let Some((parked, release)) = park {
+            let _ = parked.send(());
+            let _ = release.recv();
+        }
+        self.inner.generate(sample, workload, k, rng)
+    }
+}
+
+/// Each tenant's OREO sits behind its own lock: while tenant 0's candidate
+/// generation is parked (holding tenant 0's lock on one worker), tenant 1's
+/// queries complete on the other worker and an ingest into tenant 1 that
+/// charges compaction returns.
+#[test]
+fn one_tenants_candidate_generation_never_stalls_another() {
+    let tables = [table(0, 1500), table(1, 1500)];
+    let generator = Arc::new(ParkingGenerator {
+        inner: oreo_layout::QdTreeGenerator::new(),
+        park: Mutex::new(None),
+    });
+    let mut specs = vec![
+        tenant_spec("parked", &tables[0], oreo_config(61)),
+        tenant_spec("free", &tables[1], oreo_config(62)),
+    ];
+    specs[0].generator = Arc::clone(&generator) as Arc<dyn LayoutGenerator>;
+    let engine = Engine::start_tenants(specs, EngineConfig::default().with_workers(2));
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    *generator.park.lock().expect("park slot poisoned") = Some((parked_tx, release_rx));
+    let query = |tenant: usize, i: i64| {
+        let lo = (i * 37) % 900;
+        QueryBuilder::new(tables[tenant].schema())
+            .between("a", lo, lo + 60)
+            .build()
+    };
+    let (engine_ref, query) = (&engine, &query);
+    let finished = std::thread::scope(|scope| {
+        // Dropped on every exit from this closure, before the scope joins
+        // its threads, so a failed assertion cannot leave a worker parked.
+        let _release = release;
+        // Tenant 0 runs in lockstep, so none of its queries sits queued for
+        // the free worker to pick up.
+        scope.spawn(|| {
+            for i in 0..200 {
+                engine_ref.submit_tracked_to(0, query(0, i)).wait();
+            }
+        });
+        parked
+            .recv_timeout(Duration::from_secs(60))
+            .expect("tenant 0 never generated candidates");
+        let (done, finished) = mpsc::channel();
+        scope.spawn(move || {
+            for i in 0..20 {
+                engine_ref.submit_tracked_to(1, query(1, i)).wait();
+            }
+            let appends: Vec<IngestOp> = (0..3)
+                .map(|i| IngestOp::Append {
+                    values: vec![Scalar::Int(10_000 + i), Scalar::Int(i), Scalar::Int(0)],
+                })
+                .collect();
+            let _ = done.send(engine_ref.ingest_to(1, &appends).expect("ingest accepted"));
+        });
+        finished.recv_timeout(Duration::from_secs(20))
+    });
+    let receipt = finished.expect("tenant 1 stalled behind tenant 0's candidate generation");
+    assert!(receipt.rows_written > 0, "the batch must charge compaction");
+    engine.drain();
+    let stats = engine.shutdown();
+    assert_eq!(stats.tenants[1].queries, 20);
+    assert!(stats.tenants[1].ledger.compactions >= 1);
 }

@@ -15,8 +15,9 @@
 //! * **Ordered.** Every event is stamped from one global atomic sequence
 //!   at emit time, so a drained journal sorts into a single total order —
 //!   which is what lets a FIFO run's policy events replay the
-//!   `CostLedger` bit-for-bit: events are emitted *under the core mutex*
-//!   at the exact ledger-operation sites, so seq order is ledger order.
+//!   `CostLedger` bit-for-bit: events are emitted *under the owning OREO
+//!   instance's mutex* at the exact ledger-operation sites, so seq order
+//!   is ledger order.
 //! * **Low contention.** Threads are assigned round-robin to a small set
 //!   of shard mutexes; with one thread per shard an emit is an
 //!   uncontended lock plus a vector write.

@@ -33,10 +33,10 @@ use crate::partition::{build_metadata, decode_metadata, encode_metadata, Partiti
 use crate::table::Table;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use oreo_query::Schema;
+use std::cell::Cell;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"OREOPART";
@@ -54,16 +54,19 @@ const TAG_INT: u8 = 0;
 const TAG_FLOAT: u8 = 1;
 const TAG_STR: u8 = 2;
 
-/// Count of partition-payload decodes (full or projected) performed by this
-/// process. Diagnostic only: restart-path tests assert that opening a
-/// footer-indexed store performs **zero** decodes — the fix for the
-/// decode-everything-on-open behavior flagged in the ROADMAP.
-static DECODES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Count of partition-payload decodes (full or projected) performed on
+    /// this thread. Diagnostic only: restart-path tests assert that opening
+    /// a footer-indexed store performs **zero** decodes — the fix for the
+    /// decode-everything-on-open behavior flagged in the ROADMAP. Per
+    /// thread, so tests running in parallel never see each other's decodes.
+    static DECODES: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Total partition-payload decodes ([`decode_partition`] +
-/// [`decode_partition_projected`]) since process start.
+/// [`decode_partition_projected`]) performed on the calling thread.
 pub fn partition_decodes() -> u64 {
-    DECODES.load(Ordering::Relaxed)
+    DECODES.with(Cell::get)
 }
 
 /// Location of one column's encoded payload inside a partition file: the
@@ -412,7 +415,7 @@ fn check_v2_layout(
 /// back into a table. The schema is supplied externally (it is store-level,
 /// not per-file).
 pub fn decode_partition(schema: &Arc<Schema>, bytes: &[u8]) -> Result<Table> {
-    DECODES.fetch_add(1, Ordering::Relaxed);
+    DECODES.with(|d| d.set(d.get() + 1));
     if has_footer(bytes) {
         let (footer, footer_off) = parse_footer(bytes)?;
         check_v2_layout(schema, bytes, &footer, footer_off)?;
@@ -576,7 +579,7 @@ pub fn decode_partition_projected(
     bytes: &[u8],
     cols: &[usize],
 ) -> Result<(usize, Vec<(usize, Column)>)> {
-    DECODES.fetch_add(1, Ordering::Relaxed);
+    DECODES.with(|d| d.set(d.get() + 1));
     if has_footer(bytes) {
         let (footer, footer_off) = parse_footer(bytes)?;
         check_v2_layout(schema, bytes, &footer, footer_off)?;
