@@ -12,36 +12,23 @@
 //! optimized static layout by up to 32% in combined time.
 
 use oreo_bench::common::{
-    banner, default_config, fig3_grid, json_path_arg, make_stream, run_fig3_policies,
+    self, banner, default_config, fig3_grid, json_path_arg, make_stream, run_fig3_policies,
     write_json_report, Json, Scale,
 };
 use oreo_sim::{default_spec, fmt_f, fmt_pct_change, AsciiTable, PolicySetup};
-use oreo_storage::DiskStore;
-use std::time::Instant;
 
 /// Measure (full-scan seconds, reorganization seconds) on a physical copy
-/// of the bundle's table.
+/// of the bundle's table: one cold pooled full scan of the default layout,
+/// then one rewrite into two halves (Table I's methodology, see
+/// [`common::measure_substrate`]).
 fn measure_substrate(bundle: &oreo_workload::DatasetBundle, k: usize, seed: u64) -> (f64, f64) {
-    let dir = std::env::temp_dir().join(format!("oreo-fig3-{}-{}", std::process::id(), seed));
     let spec = default_spec(bundle, k, seed);
     let assignment = spec.assign(&bundle.table);
-    let store = DiskStore::create(&dir, &bundle.table, &assignment, k).expect("create store");
-
-    let t0 = Instant::now();
-    store.full_scan().expect("scan");
-    let scan = t0.elapsed().as_secs_f64();
-
-    let dir2 = dir.join("reorg");
-    let t0 = Instant::now();
-    let mid = bundle.table.num_rows() as u32 / 2;
-    let store2 = store
-        .reorganize(&dir2, 2, |_, row| u32::from(row as u32 >= mid))
-        .expect("reorg");
-    let reorg = t0.elapsed().as_secs_f64();
-
-    store2.destroy().ok();
-    store.destroy().ok();
-    (scan, reorg)
+    let mid = bundle.table.num_rows() / 2;
+    let m = common::measure_substrate(&bundle.table, &assignment, k, 1, 2, |_, row| {
+        u32::from(row >= mid)
+    });
+    (m.scan_s, m.reorg_s)
 }
 
 fn main() {

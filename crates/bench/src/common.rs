@@ -2,9 +2,15 @@
 //! experiment binary.
 
 use oreo_core::OreoConfig;
+use oreo_query::{Atom, CompareOp, Predicate, Scalar};
 use oreo_sim::{run_policy, PolicySetup, ReorgPolicy, RunResult, Technique};
+use oreo_storage::{
+    concat_tables, BufferPool, BufferPoolConfig, Table, TableSnapshot, TieredStore,
+};
 use oreo_workload::{DatasetBundle, QueryStream, StreamConfig};
 use std::fmt::Write as _;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Experiment scale, toggled by `--quick` on every binary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,6 +120,100 @@ pub fn fig3_grid(scale: Scale, seed: u64) -> Vec<(DatasetBundle, Technique)> {
         }
     }
     out
+}
+
+/// The full-scan query of Table I: the always-true atom `col0 >= i64::MIN`
+/// (column 0 is int-backed in every bundle). A pooled scan reads column
+/// 0's pages for it, the way a columnar engine executes
+/// `SELECT agg(col0) FROM t`; the empty predicate would read no payload.
+pub fn full_scan_predicate() -> Predicate {
+    Predicate::new(vec![Atom::Compare {
+        col: 0,
+        op: CompareOp::Ge,
+        value: Scalar::Int(i64::MIN),
+    }])
+}
+
+/// Physical timings of one table on the serving path (see
+/// [`measure_substrate`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Substrate {
+    /// Mean seconds of one cold pooled full scan.
+    pub scan_s: f64,
+    /// Seconds of one rewrite: read → re-route → regroup → compress +
+    /// write.
+    pub reorg_s: f64,
+    /// The encode + write + fsync + rename part of `reorg_s`.
+    pub write_s: f64,
+    /// Partition-file bytes of the initial generation.
+    pub bytes: u64,
+}
+
+/// Table I's methodology on the engine's own storage path. Persist `table`
+/// under `assignment` (into `k0` partitions) as a [`TieredStore`]
+/// generation, then time:
+///
+/// * `scans` cold full scans: [`TableSnapshot::scan_pooled`] of
+///   [`full_scan_predicate`], each through a fresh [`BufferPool`];
+/// * one rewrite into `k` partitions: [`TieredStore::open`] reads the
+///   generation back from disk, [`concat_tables`] joins its partitions,
+///   `route` assigns every row a new BID, and the rebuilt snapshot is
+///   published as the next generation.
+pub fn measure_substrate(
+    table: &Table,
+    assignment: &[u32],
+    k0: usize,
+    scans: usize,
+    k: usize,
+    mut route: impl FnMut(&Table, usize) -> u32,
+) -> Substrate {
+    let root = std::env::temp_dir().join(format!("oreo-substrate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut initial = TableSnapshot::build(table, assignment, k0, 0, "initial");
+    let (store, _) = TieredStore::create(&root, &mut initial).expect("create tiered store");
+    // Partition files only: the row-id sidecars and manifest are not table data.
+    let bytes = initial.total_bytes();
+
+    let predicate = full_scan_predicate();
+    let mut scan_s = 0.0;
+    for _ in 0..scans {
+        let pool = BufferPool::new(BufferPoolConfig::default());
+        let t0 = Instant::now();
+        initial.scan_pooled(&predicate, &pool).expect("pooled scan");
+        scan_s += t0.elapsed().as_secs_f64();
+    }
+    scan_s /= scans.max(1) as f64;
+    drop((initial, store));
+
+    let t0 = Instant::now();
+    let (store, recovered, _) = TieredStore::open(&root, table.schema()).expect("reopen");
+    let parts: Vec<_> = recovered
+        .partitions()
+        .iter()
+        .map(|p| Arc::clone(&p.data))
+        .collect();
+    let data = concat_tables(table.schema(), &parts).expect("concat");
+    let rows: Vec<u32> = recovered
+        .partitions()
+        .iter()
+        .flat_map(|p| p.rows.iter().copied())
+        .collect();
+    drop(parts);
+    let next_assignment: Vec<u32> = (0..data.num_rows()).map(|r| route(&data, r)).collect();
+    let mut next = TableSnapshot::build_with_rows(&data, &rows, &next_assignment, k, 1, "rewrite");
+    let receipt = store.publish(&mut next).expect("publish");
+    let reorg_s = t0.elapsed().as_secs_f64();
+
+    // `recovered` pins the superseded generation, so its deletion falls
+    // outside the timed rewrite.
+    drop((recovered, next, store));
+    let _ = std::fs::remove_dir_all(&root);
+    Substrate {
+        scan_s,
+        reorg_s,
+        write_s: receipt.wall.as_secs_f64(),
+        bytes,
+    }
 }
 
 /// A JSON value for machine-readable benchmark output. The workspace has no

@@ -62,6 +62,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How [`Engine::ingest`] batches merge into delta runs: at most 2 runs,
+/// with amortized write amplification O(2·√m) over m batches
+/// (arXiv:2011.02615). [`MergePolicy::NaiveFullMerge`] is the one-run
+/// baseline the `dynamization` bench drives on a bare `DeltaBuffer`.
+const INGEST_MERGE_POLICY: MergePolicy = MergePolicy::KBinomial { k: 2 };
+
 /// When does the *logical* (cost-accounted) layout switch land?
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DelaySemantics {
@@ -215,12 +221,6 @@ pub struct EngineConfig {
     /// (cold misses hit the disk, warm hits are served from memory);
     /// ignored in [`ServeMode::Memory`].
     pub buffer_pool_bytes: u64,
-    /// How [`Engine::ingest`] batches merge into delta runs. The default,
-    /// `KBinomial { k: 2 }`, keeps at most 2 runs with amortized write
-    /// amplification O(2·√m) over m batches (arXiv:2011.02615);
-    /// [`MergePolicy::NaiveFullMerge`] is the one-run baseline the
-    /// `dynamization` bench compares against.
-    pub merge_policy: MergePolicy,
     /// Observability: event journal + metric exporters.
     pub obs: ObsConfig,
     /// Global α budget for the reorganization scheduler. `None` (the
@@ -240,7 +240,6 @@ impl Default for EngineConfig {
             delay: DelaySemantics::Measured,
             mode: ServeMode::Memory,
             buffer_pool_bytes: oreo_storage::bufpool::DEFAULT_CAPACITY_BYTES,
-            merge_policy: MergePolicy::KBinomial { k: 2 },
             obs: ObsConfig::default(),
             budget: None,
         }
@@ -285,12 +284,6 @@ impl EngineConfig {
     /// Sets the tiered-scan buffer-pool capacity in bytes.
     pub fn with_buffer_pool_bytes(mut self, bytes: u64) -> Self {
         self.buffer_pool_bytes = bytes;
-        self
-    }
-
-    /// Sets the delta-run merge policy for [`Engine::ingest`].
-    pub fn with_merge_policy(mut self, policy: MergePolicy) -> Self {
-        self.merge_policy = policy;
         self
     }
 
@@ -1009,7 +1002,7 @@ impl Engine {
                 DeltaBuffer::new(
                     Arc::clone(spec.table.schema()),
                     spec.table.num_rows() as u64,
-                    config.merge_policy,
+                    INGEST_MERGE_POLICY,
                 ),
                 wal,
                 Arc::clone(&spec.table),
@@ -1296,12 +1289,6 @@ impl Engine {
     /// runs.
     pub fn tiered(&self) -> Option<&TieredStore> {
         self.shared.tenants[0].tiered.as_ref()
-    }
-
-    /// The disk tier of the tenant at `tenant`, in [`ServeMode::Tiered`]
-    /// runs.
-    pub fn tiered_of(&self, tenant: usize) -> Option<&TieredStore> {
-        self.shared.tenants[tenant].tiered.as_ref()
     }
 
     /// The shared buffer pool tiered scans read through, in

@@ -340,9 +340,8 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// Memory-mode runs report scan bytes too (the satellite fix): the
-    /// ScanStats/SnapshotScan byte accounting must make Memory and Tiered
-    /// reports comparable.
+    /// Memory-mode runs report scan bytes too: the `SnapshotScan` byte
+    /// accounting must make Memory and Tiered reports comparable.
     #[test]
     fn memory_mode_reports_scan_bytes() {
         let t = table(1000);

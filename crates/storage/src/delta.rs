@@ -458,7 +458,7 @@ impl DeltaBuffer {
                 .map(|r| (*r.part.data).clone())
                 .collect();
             parts.push(batch_table);
-            crate::diskstore::concat_tables(&self.schema, &parts)?
+            crate::table::concat_tables(&self.schema, &parts)?
         };
         let rows_written = data.num_rows() as u64;
         let bytes = data.memory_bytes() as u64;

@@ -20,11 +20,16 @@
 //! Version 2 (above) ends in a self-describing **footer**: per-column
 //! payload extents with their own checksums — the *page index* pooled scans
 //! use to fetch only the byte ranges a predicate touches — plus the
-//! partition's pruning metadata, so [`crate::DiskStore::open`] can reopen a
-//! store from a few footer bytes per file instead of decoding every
-//! partition. Version 1 files (no footer, one whole-file checksum) are
-//! still readable; [`read_partition_footer`] reports them as `None` and
-//! callers fall back to a full decode.
+//! partition's pruning metadata, so [`crate::TieredStore::open`] recovers
+//! both without rebuilding them from the rows. Version 1 files (no footer,
+//! one whole-file checksum) are still readable; [`read_partition_footer`]
+//! reports them as `None` and recovery falls back to a full decode plus a
+//! metadata rebuild.
+//!
+//! The codec is pure; the two file readers here ([`read_partition`],
+//! [`read_partition_footer`]) exist for [`crate::TieredStore`] recovery.
+//! Serving scans read partition files only through the
+//! [`crate::BufferPool`].
 
 use crate::column::{Column, DictColumn};
 use crate::encode::*;
@@ -55,16 +60,15 @@ const TAG_FLOAT: u8 = 1;
 const TAG_STR: u8 = 2;
 
 thread_local! {
-    /// Count of partition-payload decodes (full or projected) performed on
-    /// this thread. Diagnostic only: restart-path tests assert that opening
-    /// a footer-indexed store performs **zero** decodes — the fix for the
-    /// decode-everything-on-open behavior flagged in the ROADMAP. Per
-    /// thread, so tests running in parallel never see each other's decodes.
+    /// Count of partition-payload decodes performed on this thread.
+    /// Diagnostic only: tests assert that a footer read decodes nothing.
+    /// Per thread, so tests running in parallel never see each other's
+    /// decodes.
     static DECODES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Total partition-payload decodes ([`decode_partition`] +
-/// [`decode_partition_projected`]) performed on the calling thread.
+/// Total partition-payload decodes ([`decode_partition`]) performed on the
+/// calling thread.
 pub fn partition_decodes() -> u64 {
     DECODES.with(Cell::get)
 }
@@ -558,108 +562,6 @@ pub fn read_partition_footer(path: &Path) -> Result<Option<PartitionFooter>> {
     Ok(Some(parse_footer_body(&body, footer_off)?))
 }
 
-/// Column-projected read: decode only `cols` (any order, deduplicated by
-/// the caller), skipping other payloads via the footer's page index (v2) or
-/// their length prefixes (legacy v1). Returns the partition's row count
-/// plus `(column id, decoded column)` pairs.
-pub fn read_partition_projected(
-    path: &Path,
-    schema: &Arc<Schema>,
-    cols: &[usize],
-) -> Result<(usize, Vec<(usize, Column)>)> {
-    let mut file = fs::File::open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    decode_partition_projected(schema, &bytes, cols)
-}
-
-/// In-memory variant of [`read_partition_projected`].
-pub fn decode_partition_projected(
-    schema: &Arc<Schema>,
-    bytes: &[u8],
-    cols: &[usize],
-) -> Result<(usize, Vec<(usize, Column)>)> {
-    DECODES.with(|d| d.set(d.get() + 1));
-    if has_footer(bytes) {
-        let (footer, footer_off) = parse_footer(bytes)?;
-        check_v2_layout(schema, bytes, &footer, footer_off)?;
-        let nrows = footer.nrows as usize;
-        let mut out = Vec::with_capacity(cols.len());
-        for (col, extent) in footer.columns.iter().enumerate() {
-            if cols.contains(&col) {
-                let payload = &bytes[extent.offset as usize..(extent.offset + extent.len) as usize];
-                out.push((col, extent.decode(payload, nrows, col)?));
-            }
-        }
-        return Ok((nrows, out));
-    }
-    decode_partition_projected_v1(schema, bytes, cols)
-}
-
-fn decode_partition_projected_v1(
-    schema: &Arc<Schema>,
-    bytes: &[u8],
-    cols: &[usize],
-) -> Result<(usize, Vec<(usize, Column)>)> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(StorageError::Corrupt("file shorter than header".into()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv1a(body) != stored {
-        return Err(StorageError::Corrupt("checksum mismatch".into()));
-    }
-    let mut buf = body;
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(StorageError::Corrupt("bad magic".into()));
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION_V1 {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let ncols = buf.get_u16_le() as usize;
-    if ncols != schema.len() {
-        return Err(StorageError::Corrupt(format!(
-            "file has {ncols} columns, schema expects {}",
-            schema.len()
-        )));
-    }
-    let nrows = buf.get_u64_le() as usize;
-
-    let mut out = Vec::with_capacity(cols.len());
-    for col in 0..ncols {
-        if buf.remaining() < 9 {
-            return Err(StorageError::Corrupt(format!(
-                "truncated header for column {col}"
-            )));
-        }
-        let tag = buf.get_u8();
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < len {
-            return Err(StorageError::Corrupt(format!(
-                "truncated payload for column {col}"
-            )));
-        }
-        if cols.contains(&col) {
-            let mut payload = &buf[..len];
-            let column = decode_column_payload(tag, &mut payload, col)?;
-            if column.len() != nrows {
-                return Err(StorageError::Corrupt(format!(
-                    "column {col} has {} rows, header says {nrows}",
-                    column.len()
-                )));
-            }
-            out.push((col, column));
-        }
-        buf.advance(len);
-    }
-    Ok((nrows, out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,10 +609,6 @@ mod tests {
         for col in 0..t.num_columns() {
             assert_eq!(back.scalar(123, col), t.scalar(123, col));
         }
-        // projected reads work on v1 files too
-        let (nrows, cols) = decode_partition_projected(t.schema(), &bytes, &[1, 3]).unwrap();
-        assert_eq!(nrows, 500);
-        assert_eq!(cols.len(), 2);
     }
 
     #[test]

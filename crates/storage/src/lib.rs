@@ -2,7 +2,7 @@
 //!
 //! The partitioned columnar storage substrate OREO optimizes over.
 //!
-//! Six layers:
+//! Five layers:
 //!
 //! 1. **In-memory tables** ([`Table`], [`Column`]) — immutable columnar data
 //!    with typed columns (`i64`, `f64`, dictionary strings) used by the
@@ -11,26 +11,24 @@
 //!    min/max ranges and distinct sets per column per partition. This is the
 //!    entire costing surface of OREO: `c(s, q)` is the fraction of rows in
 //!    partitions the predicate cannot skip, computed from metadata alone.
-//! 3. **An on-disk store** ([`DiskStore`]) — one compressed columnar file per
-//!    partition, metadata-pruned scans, and physical reorganization
-//!    (read → re-route → regroup → compress + write). This replaces the
-//!    paper's Spark/Parquet setup and provides the measured α of Table I.
-//! 4. **Copy-on-write snapshots** ([`TableSnapshot`], [`SnapshotCell`]) —
+//! 3. **Copy-on-write snapshots** ([`TableSnapshot`], [`SnapshotCell`]) —
 //!    immutable materialized partition sets readers pin while a background
 //!    reorganizer builds the next layout aside and atomically publishes it;
 //!    the substrate of the concurrent serving layer (`oreo-engine`).
-//! 5. **The disk tier** ([`TieredStore`], [`Generation`]) — snapshot
-//!    generations persisted as `gen-N/` directories, committed by atomic
-//!    rename, pinned by readers, garbage-collected after the last unpin,
-//!    and recovered on restart. Backing the serving path with this tier
-//!    makes the measured α of Table I and the measured Δ of the engine
-//!    observables of the *same* run.
-//! 6. **A buffer pool** ([`BufferPool`]) — a fixed-capacity, page-granular
+//! 4. **The disk tier** ([`TieredStore`], [`Generation`]) — snapshot
+//!    generations persisted as `gen-N/` directories of compressed columnar
+//!    partition files ([`mod@format`]), committed by atomic rename, pinned by
+//!    readers, garbage-collected after the last unpin, and recovered on
+//!    restart. This replaces the paper's Spark/Parquet setup: Table I's
+//!    measured α is one generation rewrite over one cold pooled scan, and
+//!    the engine's measured Δ comes from the *same* code path.
+//! 5. **A buffer pool** ([`BufferPool`]) — a fixed-capacity, page-granular
 //!    cache over generation partition files with CLOCK eviction. Tiered
 //!    scans ([`TableSnapshot::scan_pooled`]) fetch only the pages their
 //!    predicate's columns touch, so scan cost is *real* block transfers —
 //!    split into cold (disk) and cached (pool) bytes — instead of bytes
-//!    merely accounted at file sizes.
+//!    merely accounted at file sizes. This is the only reader of
+//!    partition files besides recovery in [`TieredStore::open`].
 //!
 //! Both serving scan paths evaluate predicates through the vectorized
 //! [`kernel`] layer: compiled per-column plans ([`oreo_query::compile`])
@@ -44,7 +42,6 @@
 pub mod bufpool;
 pub mod column;
 pub mod delta;
-pub mod diskstore;
 pub mod encode;
 pub mod error;
 pub mod format;
@@ -62,7 +59,6 @@ pub use delta::{
     kbinomial_sizes, ApplyReceipt, DeltaBuffer, DeltaOverlay, DeltaRun, FoldCapture, IngestOp,
     MergePolicy,
 };
-pub use diskstore::{concat_tables, DiskStore, PartitionHandle, ScanStats};
 pub use error::{Result, StorageError};
 pub use format::{ColumnExtent, PartitionFooter};
 pub use kernel::{KernelCounters, CHUNK_ROWS};
@@ -71,7 +67,7 @@ pub use partition::{
     build_metadata, build_metadata_capped, PartitionMetadata, DEFAULT_DISTINCT_CAP,
 };
 pub use snapshot::{SnapshotCell, SnapshotPartition, SnapshotScan, TableSnapshot};
-pub use table::{Table, TableBuilder};
+pub use table::{concat_tables, Table, TableBuilder};
 pub use tiered::{Generation, PublishReceipt, RecoveryReport, TieredStore};
 pub use wal::{Wal, WalRecord, WalRecovery};
 

@@ -9,7 +9,7 @@
 //! root/
 //!   gen-000001/              ← complete generation (commit = the rename)
 //!     MANIFEST               ← layout id/name, partition count, row count
-//!     part-00000.oreo        ← encoded partition (same format as DiskStore)
+//!     part-00000.oreo        ← encoded partition (see `crate::format`)
 //!     part-00000.rows        ← the partition's global row ids
 //!     ...
 //!   gen-000002.tmp/          ← in-flight aside rewrite (torn if we crash)
@@ -31,13 +31,14 @@
 //! restart and cleans up torn `.tmp` directories and stale older
 //! generations.
 
-use crate::diskstore::open_partition_file;
 use crate::encode::{decode_u32_block, encode_u32_block, fnv1a};
 use crate::error::{Result, StorageError};
 use crate::format::{
     read_partition, read_partition_footer, write_partition_with_meta, ColumnExtent,
 };
+use crate::partition::{build_metadata, PartitionMetadata};
 use crate::snapshot::{SnapshotPartition, TableSnapshot};
+use crate::table::Table;
 use bytes::{Buf, BufMut, BytesMut};
 use oreo_query::Schema;
 use std::fs;
@@ -631,7 +632,7 @@ fn load_generation(dir: &Path, schema: &Arc<Schema>) -> Result<(TableSnapshot, u
                 (data, footer.meta, Some(extents))
             }
             None => {
-                let (data, meta, _bytes) = open_partition_file(&path, schema)?;
+                let (data, meta) = open_partition_file(&path, schema)?;
                 (data, meta, None)
             }
         };
@@ -662,6 +663,17 @@ fn load_generation(dir: &Path, schema: &Arc<Schema>) -> Result<(TableSnapshot, u
     // Pre-write-path manifests carry no next_row: their ids are identity.
     let next_row = next_row.unwrap_or(total_rows);
     Ok((snapshot, folded, next_row))
+}
+
+/// Decode a legacy (version-1, footerless) partition file and rebuild its
+/// pruning metadata from its own rows: all rows in one group, so the
+/// ranges and distinct sets equal what the original build produced.
+fn open_partition_file(path: &Path, schema: &Arc<Schema>) -> Result<(Table, PartitionMetadata)> {
+    let table = read_partition(path, schema)?;
+    let meta = build_metadata(&table, &vec![0; table.num_rows()], 1)
+        .pop()
+        .expect("k=1 metadata");
+    Ok((table, meta))
 }
 
 /// Write the global row ids of one partition:
@@ -801,7 +813,8 @@ fn dir_bytes(dir: &Path) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{Table, TableBuilder};
+    use crate::bufpool::{BufferPool, BufferPoolConfig};
+    use crate::table::TableBuilder;
     use oreo_query::{Atom, ColumnType, Predicate, Scalar};
 
     fn tmproot(tag: &str) -> PathBuf {
@@ -920,6 +933,74 @@ mod tests {
         assert_eq!(scan.matches, expected);
         assert!(scan.partitions_read < 4, "recovered metadata still prunes");
         assert!(scan.bytes_scanned > 0);
+        drop(store);
+        drop(recovered);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Empty partitions are valid: every row in BID 0, BIDs 1..4 empty,
+    /// survive create → open → pooled scan.
+    #[test]
+    fn empty_partitions_are_valid() {
+        let t = table(500);
+        let schema = Arc::clone(t.schema());
+        let root = tmproot("reopen-empty");
+        let mut s1 = TableSnapshot::build(&t, &vec![0; 500], 4, 0, "lopsided");
+        let (store, _) = TieredStore::create(&root, &mut s1).unwrap();
+        drop(store);
+        drop(s1);
+        let (store, recovered, _) = TieredStore::open(&root, &schema).unwrap();
+        assert_eq!(recovered.num_partitions(), 4);
+        assert_eq!(recovered.total_rows(), 500);
+        let pool = BufferPool::new(BufferPoolConfig::default());
+        let scan = recovered
+            .scan_pooled(&between(i64::MIN, i64::MAX), &pool)
+            .unwrap();
+        assert_eq!(scan.rows_read, 500);
+        assert_eq!(scan.matches, (0..500u32).collect::<Vec<_>>());
+        drop(store);
+        drop(recovered);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Generations written before the footer existed (format v1) still
+    /// recover: `load_generation` decodes each file and rebuilds its
+    /// pruning metadata from the rows. Without a page index pooled scans
+    /// fail, and callers degrade to the in-memory scan.
+    #[test]
+    fn open_legacy_v1_generation_falls_back_to_decode() {
+        let t = table(600);
+        let schema = Arc::clone(t.schema());
+        let root = tmproot("v1");
+        let dir = gen_dir(&root, 1);
+        fs::create_dir_all(&dir).unwrap();
+        let layout = snap(&t, 2, 4);
+        for (i, part) in layout.partitions().iter().enumerate() {
+            let bytes = crate::format::encode_partition_v1(&part.data);
+            fs::write(dir.join(part_file(i)), &bytes).unwrap();
+            write_rows(&dir.join(rows_file(i)), &part.rows).unwrap();
+        }
+        write_manifest(&dir.join(MANIFEST), &layout, 1, 0, 600).unwrap();
+
+        let (store, recovered, report) = TieredStore::open(&root, &schema).unwrap();
+        assert_eq!(report.generation, 1);
+        assert_eq!(recovered.layout(), 4);
+        assert_eq!(recovered.row_cover(), (0..600u32).collect::<Vec<_>>());
+        assert!(
+            recovered.partitions().iter().all(|p| p.extents.is_none()),
+            "v1 files carry no page index"
+        );
+
+        let pred = between(0, 299);
+        let scan = recovered.scan(&pred);
+        assert_eq!(scan.matches, (0..300u32).collect::<Vec<_>>());
+        assert_eq!(scan.partitions_read, 1, "rebuilt metadata prunes");
+
+        let pool = BufferPool::new(BufferPoolConfig::default());
+        assert!(
+            recovered.scan_pooled(&pred, &pool).is_err(),
+            "no page index: pooled scans must fail, not guess"
+        );
         drop(store);
         drop(recovered);
         fs::remove_dir_all(&root).unwrap();

@@ -88,7 +88,8 @@ pub mod prelude {
     };
     pub use oreo_query::{ColumnType, Predicate, Query, QueryBuilder, Scalar, Schema};
     pub use oreo_storage::{
-        DiskStore, LayoutModel, SnapshotCell, Table, TableBuilder, TableSnapshot,
+        BufferPool, BufferPoolConfig, LayoutModel, SnapshotCell, Table, TableBuilder,
+        TableSnapshot, TieredStore,
     };
     pub use oreo_workload::{DatasetBundle, StreamConfig};
 }
